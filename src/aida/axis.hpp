@@ -6,6 +6,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <string>
 
 #include "common/status.hpp"
 #include "serialize/serialize.hpp"
@@ -56,6 +58,9 @@ class Axis {
     IPA_ASSIGN_OR_RETURN(const std::int64_t bins, r.svarint());
     IPA_ASSIGN_OR_RETURN(const double lower, r.f64());
     IPA_ASSIGN_OR_RETURN(const double upper, r.f64());
+    if (bins <= 0 || bins > std::numeric_limits<int>::max()) {
+      return data_loss("axis: bin count " + std::to_string(bins) + " out of range");
+    }
     return create(static_cast<int>(bins), lower, upper);
   }
 

@@ -116,6 +116,9 @@ void Histogram1D::encode(ser::Writer& w) const {
 Result<Histogram1D> Histogram1D::decode(ser::Reader& r) {
   IPA_ASSIGN_OR_RETURN(std::string title, r.string());
   IPA_ASSIGN_OR_RETURN(const Axis axis, Axis::decode(r));
+  // sumw_ and sumw2_ each carry bins + 2 doubles on the wire.
+  IPA_RETURN_IF_ERROR(r.check_fits(2 * (static_cast<std::uint64_t>(axis.bins()) + 2),
+                                   sizeof(double), "histogram1d"));
   Histogram1D hist(std::move(title), axis);
   IPA_ASSIGN_OR_RETURN(hist.annotation_, r.string_map());
   {

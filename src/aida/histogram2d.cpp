@@ -119,6 +119,10 @@ Result<Histogram2D> Histogram2D::decode(ser::Reader& r) {
   IPA_ASSIGN_OR_RETURN(std::string title, r.string());
   IPA_ASSIGN_OR_RETURN(const Axis xa, Axis::decode(r));
   IPA_ASSIGN_OR_RETURN(const Axis ya, Axis::decode(r));
+  // sumw_ and sumw2_ each carry (x bins + 2) * (y bins + 2) doubles.
+  const std::uint64_t cells = (static_cast<std::uint64_t>(xa.bins()) + 2) *
+                              (static_cast<std::uint64_t>(ya.bins()) + 2);
+  IPA_RETURN_IF_ERROR(r.check_fits(2 * cells, sizeof(double), "histogram2d"));
   Histogram2D hist(std::move(title), xa, ya);
   IPA_ASSIGN_OR_RETURN(hist.annotation_, r.string_map());
   {

@@ -92,6 +92,9 @@ void Profile1D::encode(ser::Writer& w) const {
 Result<Profile1D> Profile1D::decode(ser::Reader& r) {
   IPA_ASSIGN_OR_RETURN(std::string title, r.string());
   IPA_ASSIGN_OR_RETURN(const Axis axis, Axis::decode(r));
+  // Four per-bin arrays of bins + 2 doubles each follow.
+  IPA_RETURN_IF_ERROR(r.check_fits(4 * (static_cast<std::uint64_t>(axis.bins()) + 2),
+                                   sizeof(double), "profile1d"));
   Profile1D profile(std::move(title), axis);
   IPA_ASSIGN_OR_RETURN(profile.annotation_, r.string_map());
   const auto read_vec = [&r, &profile](std::vector<double>& dst) -> Status {

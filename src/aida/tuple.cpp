@@ -6,6 +6,7 @@ Tuple::Tuple(std::string title, std::vector<std::string> columns)
     : title_(std::move(title)), columns_(std::move(columns)) {}
 
 Status Tuple::fill(std::vector<double> row) {
+  if (columns_.empty()) return invalid_argument("tuple: '" + title_ + "' has no columns");
   if (row.size() != columns_.size()) {
     return invalid_argument("tuple: row width " + std::to_string(row.size()) +
                             " != column count " + std::to_string(columns_.size()));
@@ -58,9 +59,10 @@ Result<Tuple> Tuple::decode(ser::Reader& r) {
   IPA_ASSIGN_OR_RETURN(tuple.annotation_, r.string_map());
   IPA_ASSIGN_OR_RETURN(const std::uint64_t row_count, r.varint());
   const std::size_t width = tuple.columns_.size();
-  if (row_count > ser::Reader::kMaxFieldLen / (width ? width : 1)) {
-    return data_loss("tuple: implausible row count");
-  }
+  // Rows are width doubles each; a column-less tuple holds no rows (fill()
+  // refuses them), so a nonzero count there has no bytes to bound it.
+  if (width == 0 && row_count != 0) return data_loss("tuple: rows without columns");
+  if (width != 0) IPA_RETURN_IF_ERROR(r.check_fits(row_count, width * sizeof(double), "tuple"));
   tuple.rows_.reserve(static_cast<std::size_t>(row_count));
   for (std::uint64_t i = 0; i < row_count; ++i) {
     std::vector<double> row(width);

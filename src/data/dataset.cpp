@@ -147,6 +147,8 @@ struct DatasetReader::State {
   std::uint64_t data_begin = 0;   // offset of the first record frame
   std::uint64_t footer_offset = 0;
   std::uint32_t stored_crc = 0;
+  /// Size of the record region; no frame can be longer.
+  std::uint64_t data_bytes() const { return footer_offset - data_begin; }
   std::uint64_t position = 0;     // next record to be returned by next()
   SchemaPtr schema = std::make_shared<Schema>();  // interned as records decode
   ser::Bytes frame_buf;           // reusable frame scratch for read_batch
@@ -154,8 +156,9 @@ struct DatasetReader::State {
 
 namespace {
 
-/// Read a frame's varint length prefix at the current file position.
-Result<std::uint64_t> read_frame_length(std::FILE* fp) {
+/// Read a frame's varint length prefix at the current file position; a
+/// length beyond `max_len` (the record region's size) is corrupt.
+Result<std::uint64_t> read_frame_length(std::FILE* fp, std::uint64_t max_len) {
   std::uint64_t len = 0;
   int shift = 0;
   while (true) {
@@ -166,13 +169,15 @@ Result<std::uint64_t> read_frame_length(std::FILE* fp) {
     if ((byte & 0x80) == 0) break;
     shift += 7;
   }
-  if (len > ser::Reader::kMaxFieldLen) return data_loss("dataset: oversized record");
+  if (len > ser::Reader::kMaxFieldLen || len > max_len) {
+    return data_loss("dataset: oversized record");
+  }
   return len;
 }
 
 /// Read one length-framed record at the current file position.
-Result<Record> read_record_frame(std::FILE* fp) {
-  IPA_ASSIGN_OR_RETURN(const std::uint64_t len, read_frame_length(fp));
+Result<Record> read_record_frame(std::FILE* fp, std::uint64_t max_len) {
+  IPA_ASSIGN_OR_RETURN(const std::uint64_t len, read_frame_length(fp, max_len));
   ser::Bytes body(static_cast<std::size_t>(len));
   IPA_RETURN_IF_ERROR(read_bytes(fp, body.data(), body.size()));
   ser::Reader r(body);
@@ -191,6 +196,15 @@ Result<DatasetReader> DatasetReader::open(const std::string& path) {
   st.path = path;
   st.file.fp = std::fopen(path.c_str(), "rb");
   if (st.file.fp == nullptr) return not_found("dataset: cannot open '" + path + "'");
+  // Every count and offset read below is bounded by the file's size, so a
+  // corrupt file cannot ask for more memory than it occupies on disk.
+  {
+    if (std::fseek(st.file.fp, 0, SEEK_END) != 0) return unavailable("dataset: seek failed");
+    const long end = std::ftell(st.file.fp);
+    if (end < 0) return unavailable("dataset: ftell failed");
+    st.info.file_bytes = static_cast<std::uint64_t>(end);
+    if (std::fseek(st.file.fp, 0, SEEK_SET) != 0) return unavailable("dataset: seek failed");
+  }
 
   // Header.
   char magic[4];
@@ -222,7 +236,9 @@ Result<DatasetReader> DatasetReader::open(const std::string& path) {
   };
   const auto read_string = [&]() -> Result<std::string> {
     IPA_ASSIGN_OR_RETURN(const std::uint64_t len, read_varint());
-    if (len > ser::Reader::kMaxFieldLen) return data_loss("dataset: oversized string");
+    if (len > ser::Reader::kMaxFieldLen || len > st.info.file_bytes) {
+      return data_loss("dataset: oversized string");
+    }
     std::string out(static_cast<std::size_t>(len), '\0');
     IPA_RETURN_IF_ERROR(read_bytes(st.file.fp, out.data(), out.size()));
     return out;
@@ -252,9 +268,8 @@ Result<DatasetReader> DatasetReader::open(const std::string& path) {
     IPA_ASSIGN_OR_RETURN(const std::uint32_t magic2, tr.u32());
     if (magic2 != kTrailerMagic) return data_loss("dataset: bad trailer magic (unfinished file?)");
   }
-  {
-    const long end = std::ftell(st.file.fp);
-    st.info.file_bytes = end < 0 ? 0 : static_cast<std::uint64_t>(end);
+  if (st.footer_offset < st.data_begin || st.footer_offset > st.info.file_bytes - 12) {
+    return data_loss("dataset: bad footer offset");
   }
 
   // Footer.
@@ -262,10 +277,17 @@ Result<DatasetReader> DatasetReader::open(const std::string& path) {
     return data_loss("dataset: bad footer offset");
   }
   IPA_ASSIGN_OR_RETURN(st.info.record_count, read_varint());
+  // Each record frame takes at least one byte of the record region.
+  if (st.info.record_count > st.data_bytes()) {
+    return data_loss("dataset: record count exceeds the record region");
+  }
   IPA_ASSIGN_OR_RETURN(st.index_stride, read_varint());
   if (st.index_stride == 0) return data_loss("dataset: zero index stride");
   IPA_ASSIGN_OR_RETURN(const std::uint64_t index_count, read_varint());
-  if (index_count > st.info.record_count + 1) return data_loss("dataset: implausible index");
+  if (index_count > st.info.record_count + 1 ||
+      index_count > (st.info.file_bytes - st.footer_offset) / 8) {
+    return data_loss("dataset: implausible index");
+  }
   st.index_offsets.reserve(static_cast<std::size_t>(index_count));
   for (std::uint64_t i = 0; i < index_count; ++i) {
     std::uint8_t off_bytes[8];
@@ -314,7 +336,7 @@ Status DatasetReader::seek(std::uint64_t record_index) {
   }
   // Skip forward to the exact record.
   for (std::uint64_t i = base; i < record_index; ++i) {
-    auto skipped = read_record_frame(st.file.fp);
+    auto skipped = read_record_frame(st.file.fp, st.data_bytes());
     IPA_RETURN_IF_ERROR(skipped.status());
   }
   st.position = record_index;
@@ -326,7 +348,7 @@ Result<Record> DatasetReader::next() {
   if (st.position >= st.info.record_count) {
     return out_of_range("dataset: end of records");
   }
-  auto record = read_record_frame(st.file.fp);
+  auto record = read_record_frame(st.file.fp, st.data_bytes());
   IPA_RETURN_IF_ERROR(record.status());
   ++st.position;
   return record;
@@ -380,7 +402,9 @@ Result<std::uint64_t> DatasetReader::read_batch(RecordBatch& batch,
         if ((byte & 0x80) == 0) break;
         shift += 7;
       }
-      if (frame_len > ser::Reader::kMaxFieldLen) return data_loss("dataset: oversized record");
+      if (frame_len > ser::Reader::kMaxFieldLen || frame_len > st.data_bytes()) {
+        return data_loss("dataset: oversized record");
+      }
       if (!ensure(static_cast<std::size_t>(frame_len))) {
         return data_loss("dataset: truncated file");
       }
@@ -440,7 +464,9 @@ Result<std::vector<std::uint64_t>> DatasetReader::scan_frame_offsets() {
       if ((byte & 0x80) == 0) break;
       shift += 7;
     }
-    if (frame_len > ser::Reader::kMaxFieldLen) return data_loss("dataset: oversized record");
+    if (frame_len > ser::Reader::kMaxFieldLen || frame_len > st.data_bytes()) {
+      return data_loss("dataset: oversized record");
+    }
     at += varint_bytes + frame_len;
     std::uint64_t remaining = frame_len;
     while (remaining > 0) {

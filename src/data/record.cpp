@@ -86,6 +86,8 @@ Result<Record> Record::decode(ser::Reader& r) {
   record.index_ = index;
   IPA_ASSIGN_OR_RETURN(const std::uint64_t count, r.varint());
   if (count > 4096) return data_loss("record: implausible field count");
+  // A field is at least a name length, a value tag and one payload byte.
+  IPA_RETURN_IF_ERROR(r.check_fits(count, 3, "record fields"));
   record.fields_.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
     IPA_ASSIGN_OR_RETURN(std::string name, r.string());

@@ -167,9 +167,7 @@ Status RecordBatch::append_encoded(ser::Reader& r) {
       }
       case kTagVec: {
         IPA_ASSIGN_OR_RETURN(const std::uint64_t n, r.varint());
-        if (n > ser::Reader::kMaxFieldLen / sizeof(double)) {
-          return data_loss("record batch: vector too large");
-        }
+        IPA_RETURN_IF_ERROR(r.check_fits(n, sizeof(double), "record batch vector"));
         if (direct) {
           const std::size_t old = column.vec_values.size();
           column.vec_values.resize(old + static_cast<std::size_t>(n));
@@ -335,7 +333,9 @@ Result<RecordBatch> RecordBatch::decode(ser::Reader& r) {
   IPA_RETURN_IF_ERROR(schema.status());
   RecordBatch batch(std::make_shared<Schema>(std::move(*schema)));
   IPA_ASSIGN_OR_RETURN(const std::uint64_t rows, r.varint());
-  if (rows > ser::Reader::kMaxFieldLen) return data_loss("record batch: implausible row count");
+  // Each row carries at least a one-byte index varint; every column below
+  // re-checks its own per-row bytes before it is sized.
+  IPA_RETURN_IF_ERROR(r.check_fits(rows, 1, "record batch rows"));
   batch.rows_ = static_cast<std::size_t>(rows);
   batch.indices_.reserve(batch.rows_);
   for (std::uint64_t i = 0; i < rows; ++i) {
@@ -354,6 +354,7 @@ Result<RecordBatch> RecordBatch::decode(ser::Reader& r) {
     if (column.kind != batch.schema_->kind(static_cast<int>(c))) {
       return data_loss("record batch: column kind disagrees with schema");
     }
+    IPA_RETURN_IF_ERROR(r.check_fits(batch.rows_, 1, "record batch mask"));
     column.mask.resize(batch.rows_);
     for (std::size_t i = 0; i < batch.rows_; ++i) {
       IPA_ASSIGN_OR_RETURN(column.mask[i], r.u8());
@@ -361,16 +362,19 @@ Result<RecordBatch> RecordBatch::decode(ser::Reader& r) {
     }
     switch (column.kind) {
       case ColumnKind::kInt:
+        IPA_RETURN_IF_ERROR(r.check_fits(batch.rows_, 1, "record batch ints"));
         column.ints.resize(batch.rows_);
         for (std::size_t i = 0; i < batch.rows_; ++i) {
           IPA_ASSIGN_OR_RETURN(column.ints[i], r.svarint());
         }
         break;
       case ColumnKind::kReal:
+        IPA_RETURN_IF_ERROR(r.check_fits(batch.rows_, sizeof(double), "record batch reals"));
         column.reals.resize(batch.rows_);
         IPA_RETURN_IF_ERROR(r.f64_array(column.reals.data(), column.reals.size()));
         break;
       case ColumnKind::kStr:
+        IPA_RETURN_IF_ERROR(r.check_fits(batch.rows_, 1, "record batch strings"));
         column.strs.resize(batch.rows_);
         for (std::size_t i = 0; i < batch.rows_; ++i) {
           IPA_ASSIGN_OR_RETURN(column.strs[i], r.string());
@@ -378,11 +382,10 @@ Result<RecordBatch> RecordBatch::decode(ser::Reader& r) {
         break;
       case ColumnKind::kVec: {
         IPA_ASSIGN_OR_RETURN(const std::uint64_t values, r.varint());
-        if (values > ser::Reader::kMaxFieldLen / sizeof(double)) {
-          return data_loss("record batch: vector payload too large");
-        }
+        IPA_RETURN_IF_ERROR(r.check_fits(values, sizeof(double), "record batch vectors"));
         column.vec_values.resize(static_cast<std::size_t>(values));
         IPA_RETURN_IF_ERROR(r.f64_array(column.vec_values.data(), column.vec_values.size()));
+        IPA_RETURN_IF_ERROR(r.check_fits(batch.rows_ + 1, 1, "record batch vector offsets"));
         column.vec_offsets.resize(batch.rows_ + 1);
         for (std::size_t i = 0; i <= batch.rows_; ++i) {
           IPA_ASSIGN_OR_RETURN(column.vec_offsets[i], r.varint());

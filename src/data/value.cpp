@@ -67,9 +67,7 @@ Result<Value> Value::decode(ser::Reader& r) {
     }
     case kTagVec: {
       IPA_ASSIGN_OR_RETURN(const std::uint64_t count, r.varint());
-      if (count > ser::Reader::kMaxFieldLen / sizeof(double)) {
-        return data_loss("value: vector too large");
-      }
+      IPA_RETURN_IF_ERROR(r.check_fits(count, sizeof(double), "value vector"));
       RealVec vec;
       vec.reserve(static_cast<std::size_t>(count));
       for (std::uint64_t i = 0; i < count; ++i) {

@@ -87,16 +87,25 @@ class ServerWorkerPool {
     {
       LockGuard lock(mutex_);
       if (stopping_) return Admission::kStopped;
-      // Grow lazily: only spawn another worker when every live one is busy
-      // and the cap allows it. Long-lived connections each occupy a worker,
-      // so this reaches max_workers under sustained load but stays small
-      // for a test server handling one client.
-      if (idle_ == 0 && workers_.size() < options_.max_workers) {
+      // Grow lazily: only spawn another worker when every idle one is
+      // already claimed by an item waiting in the queue, and the cap allows
+      // it. Long-lived connections each occupy a worker, so this reaches
+      // max_workers under sustained load but stays small for a test server
+      // handling one client. An idle worker about to take an earlier item
+      // must not count for this one too, or this one waits for a worker
+      // that never comes.
+      if (idle_ <= queued_ && workers_.size() < options_.max_workers) {
         workers_.emplace_back([this] { worker_loop(); });
+        ++idle_;  // a fresh worker is idle until it takes an item
       }
+      ++queued_;
     }
     Timed entry{WallClock::instance().now(), std::move(item)};
     if (!queue_.try_push(std::move(entry))) {
+      {
+        LockGuard lock(mutex_);
+        --queued_;
+      }
       item = std::move(entry.item);  // rejection hands the item back
       overflow_.inc();
       obs::flight(obs::FlightKind::kConn, "pool.saturated", name_);
@@ -148,19 +157,18 @@ class ServerWorkerPool {
 
   void worker_loop() {
     while (true) {
-      {
-        LockGuard lock(mutex_);
-        ++idle_;
-      }
       std::optional<Timed> entry = queue_.pop();
+      if (!entry) return;  // queue closed and drained
       {
         LockGuard lock(mutex_);
         --idle_;
+        --queued_;
       }
-      if (!entry) return;  // queue closed and drained
       queue_delay_.observe(WallClock::instance().now() - entry->enqueued_s);
       depth_.set(static_cast<double>(queue_.size()));
       handler_(std::move(entry->item));
+      LockGuard lock(mutex_);
+      ++idle_;
     }
   }
 
@@ -173,7 +181,8 @@ class ServerWorkerPool {
   obs::Histogram& queue_delay_;
   mutable Mutex mutex_{LockRank::kWorkerPool, "server-worker-pool"};
   std::vector<std::jthread> workers_ IPA_GUARDED_BY(mutex_);
-  std::size_t idle_ IPA_GUARDED_BY(mutex_) = 0;
+  std::size_t idle_ IPA_GUARDED_BY(mutex_) = 0;    // workers not running a handler
+  std::size_t queued_ IPA_GUARDED_BY(mutex_) = 0;  // admitted items not yet taken
   bool stopping_ IPA_GUARDED_BY(mutex_) = false;
 };
 

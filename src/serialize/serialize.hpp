@@ -9,9 +9,13 @@
 //   vector<T>       - varint count + elements
 //
 // Readers are bounds-checked and return Status on truncated or oversized
-// input; a malformed peer message can never crash a service.
+// input; a malformed peer message can never crash a service. A decoder sizes
+// a container from a wire count only after checking that the bytes left in
+// its input can hold that many elements (Reader::check_fits), so the memory
+// a decode allocates is bounded by the length of what it was given.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -118,9 +122,21 @@ class Reader {
   explicit Reader(const Bytes& data) : data_(data.data()), size_(data.size()) {}
   Reader(const std::uint8_t* data, std::size_t size) : data_(data), size_(size) {}
 
-  /// Sanity cap for length-prefixed fields: a corrupt length can't trigger
-  /// a multi-gigabyte allocation.
+  /// Sanity cap for length-prefixed fields. It is not what bounds memory:
+  /// reservations are bounded by the remaining input (check_fits), which is
+  /// far tighter for any real message.
   static constexpr std::uint64_t kMaxFieldLen = 1ULL << 30;
+
+  /// Fails with kDataLoss unless the remaining input can hold `count` items
+  /// that each take at least `min_bytes` (>= 1) encoded bytes. Call it before
+  /// sizing a container from an untrusted count.
+  Status check_fits(std::uint64_t count, std::size_t min_bytes, std::string_view what) const {
+    if (count > remaining() / min_bytes) {
+      return data_loss(std::string(what) + ": count " + std::to_string(count) +
+                       " exceeds the " + std::to_string(remaining()) + " bytes left");
+    }
+    return Status::ok();
+  }
 
   Result<std::uint8_t> u8() {
     IPA_RETURN_IF_ERROR(need(1));
@@ -187,7 +203,7 @@ class Reader {
 
   /// Bulk fixed-width doubles into caller storage (columnar payloads).
   Status f64_array(double* out, std::size_t n) {
-    IPA_RETURN_IF_ERROR(need(n * sizeof(double)));
+    IPA_RETURN_IF_ERROR(check_fits(n, sizeof(double), "f64 array"));
     if constexpr (std::endian::native == std::endian::little) {
       std::memcpy(out, data_ + pos_, n * sizeof(double));
     } else {
@@ -217,7 +233,9 @@ class Reader {
     IPA_ASSIGN_OR_RETURN(const std::uint64_t count, varint());
     if (count > kMaxFieldLen) return data_loss("vector count too large");
     std::vector<T> out;
-    out.reserve(static_cast<std::size_t>(count));
+    // Every element takes at least one byte, so a count beyond the input is
+    // corrupt; the loop below then fails once the bytes run out.
+    out.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(count, remaining())));
     for (std::uint64_t i = 0; i < count; ++i) {
       Result<T> item = read_one(*this);
       IPA_RETURN_IF_ERROR(item.status());

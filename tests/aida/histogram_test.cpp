@@ -32,6 +32,19 @@ TEST(Axis, CreateValidation) {
   EXPECT_TRUE(Axis::create(1, 0, 1e-9).is_ok());
 }
 
+// A 64-bit wire bin count must not truncate to a plausible int (2^32 + 5
+// would read as 5 bins).
+TEST(Axis, DecodeRejectsBinCountsBeyondInt) {
+  for (const std::int64_t bins : {(std::int64_t{1} << 32) + 5, std::int64_t{-3}}) {
+    ser::Writer w;
+    w.svarint(bins);
+    w.f64(0.0);
+    w.f64(1.0);
+    ser::Reader r(w.data());
+    EXPECT_EQ(Axis::decode(r).status().code(), StatusCode::kDataLoss) << bins;
+  }
+}
+
 TEST(Histogram1D, FillAndBinContents) {
   auto hist = Histogram1D::create("mass", 10, 0, 100);
   ASSERT_TRUE(hist.is_ok());

@@ -183,6 +183,25 @@ TEST(Tuple, SerializeRoundTrip) {
   EXPECT_EQ(*back, tuple);
 }
 
+// A column-less tuple carries no bytes per row, so its rows could not be
+// bounded on decode: fill refuses them and decode rejects a nonzero count.
+TEST(Tuple, NoColumnsMeansNoRows) {
+  Tuple empty("t", {});
+  EXPECT_EQ(empty.fill({}).code(), StatusCode::kInvalidArgument);
+  ser::Writer w;
+  empty.encode(w);
+  ser::Reader r(w.data());
+  ASSERT_TRUE(Tuple::decode(r).is_ok());
+
+  ser::Writer bad;
+  bad.string("t");
+  bad.varint(0);  // columns
+  bad.varint(0);  // annotations
+  bad.varint(1u << 30);  // rows
+  ser::Reader br(bad.data());
+  EXPECT_EQ(Tuple::decode(br).status().code(), StatusCode::kDataLoss);
+}
+
 // --- Tree -------------------------------------------------------------------
 
 Tree make_engine_tree(std::uint64_t seed, int fills) {

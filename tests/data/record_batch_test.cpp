@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 
@@ -210,7 +211,11 @@ TEST(RecordBatch, ClearKeepsSchemaAndSlotIds) {
 class ReadBatchTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "ipa-record-batch-test";
+    // Per-test, per-process dir: ctest -j runs each TEST as its own process,
+    // and a shared path would race SetUp against another case's remove_all.
+    const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = std::filesystem::temp_directory_path() /
+           ("ipa-record-batch-test-" + std::string(test->name()) + "-" + std::to_string(::getpid()));
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override {

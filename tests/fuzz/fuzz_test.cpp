@@ -3,18 +3,56 @@
 // hang or over-allocate. These are deterministic random sweeps (seeded
 // xoshiro), i.e. poor man's fuzzing wired into the normal test run.
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <functional>
+#include <map>
+#include <new>
 
 #include "aida/tree.hpp"
 #include "catalog/query.hpp"
 #include "common/rng.hpp"
 #include "common/uri.hpp"
+#include "data/dataset.hpp"
 #include "data/record.hpp"
+#include "data/record_batch.hpp"
 #include "engine/code_bundle.hpp"
 #include "http/http.hpp"
 #include "script/parser.hpp"
 #include "serialize/serialize.hpp"
 #include "services/protocol.hpp"
 #include "xml/xml.hpp"
+
+// Counting global allocator for the allocation-bound tests below. It counts
+// nothing until an AllocationProbe arms it on the calling thread; while armed
+// it tallies every request and refuses (bad_alloc) any single one above
+// kAllocationCap, so a decoder that sizes a buffer from a corrupt count fails
+// the test cleanly instead of exhausting the host.
+namespace {
+constexpr std::size_t kAllocationCap = std::size_t{64} << 20;
+thread_local bool g_alloc_armed = false;
+thread_local std::size_t g_alloc_bytes = 0;
+thread_local std::size_t g_alloc_refused = 0;
+}  // namespace
+
+// Kept out of line: once inlined, GCC -Wmismatched-new-delete misreads the
+// free() below as releasing memory from the builtin operator new.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  if (g_alloc_armed) {
+    if (n > kAllocationCap) {
+      ++g_alloc_refused;
+      throw std::bad_alloc();
+    }
+    g_alloc_bytes += n;
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace ipa {
 namespace {
@@ -192,6 +230,322 @@ TEST(Fuzz, SerializeReaderNeverOverReads) {
       }
     }
     EXPECT_LE(r.position(), junk.size());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Allocation bound: a decoder given `len` bytes allocates at most
+// kBytesPerInputByte * len + kSlackBytes in total, whatever the bytes claim.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kBytesPerInputByte = 64;
+constexpr std::size_t kSlackBytes = 64 * 1024;
+
+/// Arms the counting allocator on this thread for its lifetime.
+class AllocationProbe {
+ public:
+  AllocationProbe() {
+    g_alloc_bytes = 0;
+    g_alloc_refused = 0;
+    g_alloc_armed = true;
+  }
+  ~AllocationProbe() { g_alloc_armed = false; }
+  AllocationProbe(const AllocationProbe&) = delete;
+  AllocationProbe& operator=(const AllocationProbe&) = delete;
+};
+
+struct ProbeResult {
+  bool ok = false;
+  bool threw = false;
+  std::size_t bytes = 0;
+  std::size_t refused = 0;
+};
+
+/// Runs `decode` with the counting allocator armed. Only the decoder runs
+/// armed: gtest's own bookkeeping happens after the probe is gone.
+ProbeResult probe_decode(const std::function<Status()>& decode) {
+  ProbeResult result;
+  {
+    AllocationProbe probe;
+    try {
+      result.ok = decode().is_ok();
+    } catch (const std::bad_alloc&) {
+      result.threw = true;
+    }
+    result.bytes = g_alloc_bytes;
+    result.refused = g_alloc_refused;
+  }
+  return result;
+}
+
+void expect_bounded(const std::string& name, std::size_t input_len, const ProbeResult& got,
+                    std::size_t slack = kSlackBytes) {
+  EXPECT_FALSE(got.threw) << name << ": bad_alloc escaped the decoder";
+  EXPECT_EQ(got.refused, 0u) << name << ": asked for a single block above the cap";
+  EXPECT_LE(got.bytes, kBytesPerInputByte * input_len + slack)
+      << name << ": allocated " << got.bytes << " bytes for " << input_len << " input bytes";
+}
+
+/// Status-returning adapters for each wire decoder, keyed by name.
+using ByteDecoder = std::function<Status(const ser::Bytes&)>;
+
+const std::map<std::string, ByteDecoder>& byte_decoders() {
+  static const std::map<std::string, ByteDecoder> decoders = {
+      {"tree", [](const ser::Bytes& b) { return aida::Tree::deserialize(b).status(); }},
+      {"push", [](const ser::Bytes& b) { return services::decode_push(b).status(); }},
+      {"poll_response",
+       [](const ser::Bytes& b) { return services::decode_poll_response(b).status(); }},
+      {"poll_request",
+       [](const ser::Bytes& b) { return services::decode_poll_request(b).status(); }},
+      {"ready", [](const ser::Bytes& b) { return services::decode_ready(b).status(); }},
+      {"code_bundle",
+       [](const ser::Bytes& b) {
+         ser::Reader r(b);
+         return engine::CodeBundle::decode(r).status();
+       }},
+      {"value",
+       [](const ser::Bytes& b) {
+         ser::Reader r(b);
+         return data::Value::decode(r).status();
+       }},
+      {"record",
+       [](const ser::Bytes& b) {
+         ser::Reader r(b);
+         return data::Record::decode(r).status();
+       }},
+      {"record_batch",
+       [](const ser::Bytes& b) {
+         ser::Reader r(b);
+         return data::RecordBatch::decode(r).status();
+       }},
+      {"record_batch_append",
+       [](const ser::Bytes& b) {
+         ser::Reader r(b);
+         data::RecordBatch batch;
+         return batch.append_encoded(r);
+       }},
+  };
+  return decoders;
+}
+
+// Wire tags, fixed by the snapshot and record formats.
+constexpr std::uint8_t kTreeTagHistogram1D = 0;
+constexpr std::uint8_t kTreeTagHistogram2D = 1;
+constexpr std::uint8_t kTreeTagProfile1D = 2;
+constexpr std::uint8_t kTreeTagTuple = 4;
+constexpr std::uint8_t kValueTagReal = 1;
+constexpr std::uint8_t kValueTagVec = 3;
+
+/// A one-object tree snapshot header: count, path, object tag.
+ser::Writer tree_with(std::uint8_t tag) {
+  ser::Writer w;
+  w.varint(1);
+  w.string("/o");
+  w.u8(tag);
+  return w;
+}
+
+void axis(ser::Writer& w, std::int64_t bins) {
+  w.svarint(bins);
+  w.f64(0.0);
+  w.f64(1.0);
+}
+
+/// Frame `trial` of ProtocolDecodersSurviveGarbage's seed-109 stream.
+ser::Bytes seed109_frame(int trial) {
+  Rng rng(109);
+  ser::Bytes junk;
+  for (int t = 0; t <= trial; ++t) junk = random_bytes(rng, 128);
+  return junk;
+}
+
+// Each frame claims a huge element count in a few bytes. The decoder must
+// refuse it with a Status, and allocate in proportion to the frame.
+TEST(Fuzz, DecodersAllocateInProportionToInput) {
+  struct Case {
+    std::string name;
+    std::string decoder;
+    ser::Bytes frame;
+  };
+  std::vector<Case> cases;
+  {
+    ser::Writer w = tree_with(kTreeTagTuple);
+    w.string("t");
+    w.varint(1);  // one column
+    w.string("x");
+    w.varint(0);  // no annotations
+    w.varint(std::uint64_t{1} << 29);  // rows
+    cases.push_back({"tuple_rows_2^29", "tree", std::move(w).take()});
+  }
+  {
+    ser::Writer w = tree_with(kTreeTagHistogram1D);
+    w.string("h");
+    axis(w, std::int64_t{1} << 30);
+    w.varint(0);
+    cases.push_back({"histogram1d_bins_2^30", "tree", std::move(w).take()});
+  }
+  {
+    ser::Writer w = tree_with(kTreeTagHistogram2D);
+    w.string("h2");
+    axis(w, 1 << 16);
+    axis(w, 1 << 16);
+    w.varint(0);
+    cases.push_back({"histogram2d_bins_2^16x2^16", "tree", std::move(w).take()});
+  }
+  {
+    ser::Writer w = tree_with(kTreeTagProfile1D);
+    w.string("p");
+    axis(w, std::int64_t{1} << 30);
+    w.varint(0);
+    cases.push_back({"profile1d_bins_2^30", "tree", std::move(w).take()});
+  }
+  {
+    ser::Writer w;
+    w.u8(kValueTagVec);
+    w.varint(std::uint64_t{1} << 27);
+    cases.push_back({"value_vec_2^27", "value", std::move(w).take()});
+  }
+  {
+    ser::Writer w;
+    w.varint(0);     // index
+    w.varint(4096);  // fields
+    cases.push_back({"record_fields_4096", "record", std::move(w).take()});
+  }
+  {
+    ser::Writer w;
+    w.varint(1);  // schema: one real column
+    w.string("x");
+    w.u8(kValueTagReal);
+    w.varint(std::uint64_t{1} << 29);  // rows
+    cases.push_back({"record_batch_rows_2^29", "record_batch", std::move(w).take()});
+  }
+  {
+    ser::Writer w;
+    w.varint(0);  // index
+    w.varint(1);  // fields
+    w.string("v");
+    w.u8(kValueTagVec);
+    w.varint(std::uint64_t{1} << 27);
+    cases.push_back({"record_batch_append_vec_2^27", "record_batch_append",
+                     std::move(w).take()});
+  }
+  {
+    ser::Writer w;
+    w.varint(0);  // version
+    w.boolean(false);
+    w.varint(std::uint64_t{1} << 29);  // engine reports
+    cases.push_back({"poll_response_reports_2^29", "poll_response", std::move(w).take()});
+  }
+  // Seed-109 frames whose report count (42079258 and 176761762) outruns the
+  // frame: decode_poll_response once reserved that many EngineReports.
+  cases.push_back({"poll_response_seed109_trial357", "poll_response", seed109_frame(357)});
+  cases.push_back({"poll_response_seed109_trial1475", "poll_response", seed109_frame(1475)});
+
+  for (const Case& c : cases) {
+    const ByteDecoder& decode = byte_decoders().at(c.decoder);
+    const ProbeResult got = probe_decode([&] { return decode(c.frame); });
+    EXPECT_FALSE(got.ok) << c.name << ": corrupt frame decoded";
+    expect_bounded(c.name, c.frame.size(), got);
+  }
+}
+
+// The same bound over random garbage, for every wire decoder.
+TEST(Fuzz, DecodersStayWithinAllocationBoundOnGarbage) {
+  Rng rng(109);  // the ProtocolDecodersSurviveGarbage stream, then more
+  for (int trial = 0; trial < 2000; ++trial) {
+    const ser::Bytes junk = random_bytes(rng, 128);
+    for (const auto& [name, decode] : byte_decoders()) {
+      const ProbeResult got = probe_decode([&] { return decode(junk); });
+      expect_bounded(name + " trial " + std::to_string(trial), junk.size(), got);
+    }
+  }
+}
+
+// .ipd open and read: counts and lengths in a corrupt file are bounded by
+// the file's size.
+class DatasetAllocationTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = std::filesystem::temp_directory_path() /
+           ("ipa-fuzz-" + std::string(test->name()) + "-" + std::to_string(::getpid()));
+    std::filesystem::create_directories(dir_);
+  }
+  void TearDown() override {
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+  }
+
+  /// Header (magic, version, name field, no metadata), then `body` as the
+  /// record region, then a footer claiming `record_count` records and
+  /// `index_count` index entries (none written), then the trailer.
+  std::string write_file(const std::string& name, const ser::Bytes& name_field,
+                         const ser::Bytes& body, std::uint64_t record_count,
+                         std::uint64_t index_count) {
+    ser::Writer w;
+    w.raw("IPD1", 4);
+    w.u32(data::kFormatVersion);
+    w.raw(name_field.data(), name_field.size());
+    w.varint(0);  // metadata
+    w.raw(body.data(), body.size());
+    const std::uint64_t footer = w.size();
+    w.varint(record_count);
+    w.varint(1);  // index stride
+    w.varint(index_count);
+    w.u32(0);  // crc
+    w.u64(footer);
+    w.u32(0x46445049);  // "IPDF"
+    const std::string path = (dir_ / name).string();
+    std::FILE* fp = std::fopen(path.c_str(), "wb");
+    EXPECT_NE(fp, nullptr);
+    std::fwrite(w.data().data(), 1, w.size(), fp);
+    std::fclose(fp);
+    return path;
+  }
+
+  /// A name field whose length prefix claims `len` bytes; four follow.
+  static ser::Bytes name_field(std::uint64_t len) {
+    ser::Writer w;
+    w.varint(len);
+    w.raw("name", 4);
+    return std::move(w).take();
+  }
+
+  /// Opens `path`, reads every record and scans the frame offsets, with the
+  /// counting allocator armed. OK only if all of that succeeds.
+  static ProbeResult probe_open_and_read(const std::string& path) {
+    return probe_decode([&]() -> Status {
+      auto reader = data::DatasetReader::open(path);
+      IPA_RETURN_IF_ERROR(reader.status());
+      Status read = Status::ok();
+      for (std::uint64_t i = 0; i < reader->size() && read.is_ok(); ++i) {
+        read = reader->next().status();
+      }
+      const Status scan = reader->scan_frame_offsets().status();
+      return read.is_ok() ? scan : read;
+    });
+  }
+
+  std::filesystem::path dir_;
+};
+
+TEST_F(DatasetAllocationTest, CorruptCountsAreBoundedByFileSize) {
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  ser::Writer frame;
+  frame.varint(std::uint64_t{1} << 29);  // one frame claiming 512 MiB
+  frame.varint(0);
+  frame.varint(0);
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"footer_counts_2^40", write_file("footer.ipd", name_field(4), {}, huge, huge)},
+      {"record_count_2^40", write_file("records.ipd", name_field(4), {}, huge, 0)},
+      {"name_len_2^29", write_file("name.ipd", name_field(std::uint64_t{1} << 29), {}, 0, 0)},
+      {"frame_len_2^29", write_file("frame.ipd", name_field(4), frame.data(), 1, 0)},
+  };
+  for (const auto& [name, path] : cases) {
+    const ProbeResult got = probe_open_and_read(path);
+    EXPECT_FALSE(got.ok) << name << ": corrupt dataset opened and read";
+    // The frame scanner reads through one fixed 256 KiB buffer.
+    expect_bounded(name, std::filesystem::file_size(path), got, kSlackBytes + 256 * 1024);
   }
 }
 

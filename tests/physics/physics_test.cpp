@@ -1,6 +1,7 @@
 #include "physics/event_gen.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 
@@ -115,7 +116,11 @@ TEST(EventGen, BackgroundHasNoPeak) {
 class PhysicsDatasetTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "ipa-phys-test";
+    // Per-test, per-process dir: ctest -j runs each TEST as its own process,
+    // and a shared path would race SetUp against another case's remove_all.
+    const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = std::filesystem::temp_directory_path() /
+           ("ipa-phys-test-" + std::string(test->name()) + "-" + std::to_string(::getpid()));
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override {

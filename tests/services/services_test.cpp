@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <filesystem>
@@ -224,7 +225,8 @@ func begin(tree) { tree.book_h1("/mass", 20, 0, 200); }
 func process(event, tree) { tree.fill("/mass", event.num("mass")); }
 )";
   const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "ipa-services-lifecycle-race";
+      std::filesystem::temp_directory_path() /
+      ("ipa-services-lifecycle-race-" + std::to_string(::getpid()));
   std::filesystem::create_directories(dir);
 
   Rng rng(7);

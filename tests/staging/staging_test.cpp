@@ -444,5 +444,46 @@ TEST_F(StagingTest, ServerPoolCapsWorkersAndCountsOverflow) {
   EXPECT_EQ(pool.submit(6), net::Admission::kStopped);  // stopped pools reject
 }
 
+// An idle worker may take only one of several items submitted back to back:
+// when each item holds its worker (a served connection), every one of them
+// must still get a worker of its own. The window is a race, so the scenario
+// runs for several rounds, each on a fresh pool.
+TEST_F(StagingTest, ServerPoolGivesBackToBackItemsAWorkerEach) {
+  constexpr int kRounds = 10;
+  constexpr int kLongLived = 3;
+  const auto wait_for = [](const std::atomic<int>& counter, int want) {
+    const auto deadline = Clock::now() + std::chrono::seconds(2);
+    while (counter.load() < want && Clock::now() < deadline) {
+      // ipa-lint: allow(sleep-sync) -- paces a deadline-bounded poll; the counter decides.
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return counter.load();
+  };
+  for (int round = 0; round < kRounds; ++round) {
+    std::atomic<int> entered{0};
+    std::counting_semaphore<16> release(0);
+    net::ServerPoolOptions options;
+    options.max_workers = 8;
+    net::ServerWorkerPool<int> pool("staging-test-growth", options, [&](int item) {
+      entered.fetch_add(1);
+      if (item != 0) release.acquire();  // item 0 returns at once
+    });
+
+    // Leave one worker parked idle in the queue.
+    EXPECT_EQ(pool.submit(0), net::Admission::kAdmitted);
+    ASSERT_EQ(wait_for(entered, 1), 1);
+    // ipa-lint: allow(sleep-sync) -- lets the first worker finish item 0 and park in pop().
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+
+    for (int i = 1; i <= kLongLived; ++i) {
+      EXPECT_EQ(pool.submit(i), net::Admission::kAdmitted);
+    }
+    const int got = wait_for(entered, 1 + kLongLived);
+    release.release(kLongLived);
+    pool.stop();
+    ASSERT_EQ(got, 1 + kLongLived) << "round " << round << ": an item waited for a worker";
+  }
+}
+
 }  // namespace
 }  // namespace ipa

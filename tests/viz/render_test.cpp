@@ -1,6 +1,7 @@
 #include "viz/render.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 
@@ -91,7 +92,8 @@ TEST(Svg, ProfileRendersPointsWithErrors) {
 }
 
 TEST(Svg, ExportTreeWritesFiles) {
-  const auto dir = std::filesystem::temp_directory_path() / "ipa-viz-export";
+  const auto dir =
+      std::filesystem::temp_directory_path() / ("ipa-viz-export-" + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
 
   aida::Tree tree;

@@ -1,6 +1,7 @@
 #include "workloads/workloads.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 
@@ -89,7 +90,11 @@ TEST(Stocks, PricesStayPerSymbolContinuous) {
 class WorkloadDatasetTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "ipa-wl-test";
+    // Per-test, per-process dir: ctest -j runs each TEST as its own process,
+    // and a shared path would race SetUp against another case's remove_all.
+    const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = std::filesystem::temp_directory_path() /
+           ("ipa-wl-test-" + std::string(test->name()) + "-" + std::to_string(::getpid()));
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override {
