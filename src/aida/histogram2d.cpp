@@ -125,17 +125,8 @@ Result<Histogram2D> Histogram2D::decode(ser::Reader& r) {
   IPA_RETURN_IF_ERROR(r.check_fits(2 * cells, sizeof(double), "histogram2d"));
   Histogram2D hist(std::move(title), xa, ya);
   IPA_ASSIGN_OR_RETURN(hist.annotation_, r.string_map());
-  {
-    auto sumw = r.vector<double>([](ser::Reader& rr) { return rr.f64(); });
-    IPA_RETURN_IF_ERROR(sumw.status());
-    auto sumw2 = r.vector<double>([](ser::Reader& rr) { return rr.f64(); });
-    IPA_RETURN_IF_ERROR(sumw2.status());
-    if (sumw->size() != hist.sumw_.size() || sumw2->size() != hist.sumw2_.size()) {
-      return data_loss("histogram2d: cell array size mismatch");
-    }
-    hist.sumw_ = std::move(*sumw);
-    hist.sumw2_ = std::move(*sumw2);
-  }
+  IPA_RETURN_IF_ERROR(r.f64_vector_into(hist.sumw_, "histogram2d: cell array size mismatch"));
+  IPA_RETURN_IF_ERROR(r.f64_vector_into(hist.sumw2_, "histogram2d: cell array size mismatch"));
   IPA_ASSIGN_OR_RETURN(hist.entries_, r.varint());
   IPA_ASSIGN_OR_RETURN(hist.sumwx_, r.f64());
   IPA_ASSIGN_OR_RETURN(hist.sumwx2_, r.f64());

@@ -97,17 +97,10 @@ Result<Profile1D> Profile1D::decode(ser::Reader& r) {
                                    sizeof(double), "profile1d"));
   Profile1D profile(std::move(title), axis);
   IPA_ASSIGN_OR_RETURN(profile.annotation_, r.string_map());
-  const auto read_vec = [&r, &profile](std::vector<double>& dst) -> Status {
-    auto vec = r.vector<double>([](ser::Reader& rr) { return rr.f64(); });
-    IPA_RETURN_IF_ERROR(vec.status());
-    if (vec->size() != profile.sumw_.size()) return data_loss("profile1d: size mismatch");
-    dst = std::move(*vec);
-    return Status::ok();
-  };
-  IPA_RETURN_IF_ERROR(read_vec(profile.sumw_));
-  IPA_RETURN_IF_ERROR(read_vec(profile.sumw2_));
-  IPA_RETURN_IF_ERROR(read_vec(profile.sumwy_));
-  IPA_RETURN_IF_ERROR(read_vec(profile.sumwy2_));
+  for (std::vector<double>* dst :
+       {&profile.sumw_, &profile.sumw2_, &profile.sumwy_, &profile.sumwy2_}) {
+    IPA_RETURN_IF_ERROR(r.f64_vector_into(*dst, "profile1d: size mismatch"));
+  }
   IPA_ASSIGN_OR_RETURN(profile.entries_, r.varint());
   return profile;
 }

@@ -122,28 +122,53 @@ std::vector<FlightEvent> FlightJournal::snapshot(std::size_t max_events) const {
 // FlightRecorder
 // ---------------------------------------------------------------------------
 
+namespace {
+std::atomic<std::uint64_t> g_next_recorder_id{1};
+}  // namespace
+
 FlightRecorder::FlightRecorder(std::size_t journal_capacity)
-    : journal_capacity_(journal_capacity) {}
+    : journal_capacity_(journal_capacity), id_(g_next_recorder_id.fetch_add(1)) {}
 
 std::shared_ptr<FlightJournal> FlightRecorder::adopt(std::string name) {
   auto journal = std::make_shared<FlightJournal>(std::move(name), journal_capacity_);
   LockGuard lock(mutex_);
+  prune_retired();
   journals_.push_back(journal);
   return journal;
 }
 
+void FlightRecorder::prune_retired() const {
+  std::size_t retired = 0;
+  for (const auto& journal : journals_) retired += journal->retired() ? 1 : 0;
+  // journals_ is in registration order, so the oldest retired go first.
+  for (auto it = journals_.begin(); retired > kRetainedJournals;) {
+    if ((*it)->retired()) {
+      it = journals_.erase(it);
+      --retired;
+    } else {
+      ++it;
+    }
+  }
+}
+
 FlightJournal& FlightRecorder::local() {
+  // Holds the journal, never the recorder: tests build recorders that die
+  // before the threads that wrote to them.
   struct ThreadSlot {
-    FlightRecorder* owner = nullptr;
+    std::uint64_t owner = 0;  // FlightRecorder::id_
     std::shared_ptr<FlightJournal> journal;
+    ~ThreadSlot() {
+      if (journal) journal->retire();
+    }
   };
   thread_local ThreadSlot slot;
-  if (slot.owner != this) {
+  if (slot.owner != id_) {
     static std::atomic<std::uint64_t> next_thread{0};
+    if (slot.journal) slot.journal->retire();  // this thread writes elsewhere now
     slot.journal = adopt(strings::format(
         "thread-%llu",
         static_cast<unsigned long long>(next_thread.fetch_add(1))));
-    slot.owner = this;
+    slot.owner = id_;
   }
   return *slot.journal;
 }
@@ -152,6 +177,7 @@ std::vector<ThreadFlight> FlightRecorder::snapshot(std::size_t max_per_thread) c
   std::vector<std::shared_ptr<FlightJournal>> journals;
   {
     LockGuard lock(mutex_);
+    prune_retired();
     journals = journals_;
   }
   std::vector<ThreadFlight> out;
@@ -219,6 +245,7 @@ void FlightRecorder::dump(int fd, std::size_t max_per_thread) const {
 
 std::size_t FlightRecorder::journal_count() const {
   LockGuard lock(mutex_);
+  prune_retired();
   return journals_.size();
 }
 

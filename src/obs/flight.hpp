@@ -76,6 +76,11 @@ class FlightJournal {
   /// Immutable after construction, so cross-thread reads are safe.
   const std::string& name() const { return name_; }
 
+  /// Its writer thread has exited: the journal only holds a tail from now
+  /// on. Set by the thread itself; recorders prune retired journals.
+  void retire() { retired_.store(true, std::memory_order_release); }
+  bool retired() const { return retired_.load(std::memory_order_acquire); }
+
  private:
   struct Slot {
     // 2T+1 while ticket T's write is in flight, 2T+2 once it is stable.
@@ -87,6 +92,7 @@ class FlightJournal {
   std::size_t capacity_;  // power of two
   std::unique_ptr<Slot[]> slots_;
   std::atomic<std::uint64_t> head_{0};  // next ticket to write
+  std::atomic<bool> retired_{false};
 };
 
 /// Flight events for one thread, as returned by FlightRecorder::snapshot.
@@ -98,8 +104,13 @@ struct ThreadFlight {
 
 /// Process-wide table of per-thread journals. Journals are held by
 /// shared_ptr so a snapshot taken after a thread exits still sees its tail.
+/// A thread's journal retires when the thread exits; the recorder keeps the
+/// kRetainedJournals most recently registered retired ones and frees the
+/// rest, so its memory is bounded by the live threads plus that constant.
 class FlightRecorder {
  public:
+  static constexpr std::size_t kRetainedJournals = 16;
+
   explicit FlightRecorder(std::size_t journal_capacity = 256);
 
   FlightRecorder(const FlightRecorder&) = delete;
@@ -121,6 +132,7 @@ class FlightRecorder {
   /// write(2) only, no stdio buffering).
   void dump(int fd, std::size_t max_per_thread = 32) const;
 
+  /// Journals held: live threads' plus at most kRetainedJournals retired.
   std::size_t journal_count() const;
 
   static FlightRecorder& global();
@@ -131,9 +143,15 @@ class FlightRecorder {
   static void install_crash_handler();
 
  private:
+  /// Drop all but the kRetainedJournals newest retired journals.
+  void prune_retired() const IPA_REQUIRES(mutex_);
+
   const std::size_t journal_capacity_;
+  // Process-unique: a recorder built at a destroyed one's address is still
+  // a different owner to the threads' slots.
+  const std::uint64_t id_;
   mutable Mutex mutex_{LockRank::kFlight, "flight-recorder"};
-  std::vector<std::shared_ptr<FlightJournal>> journals_ IPA_GUARDED_BY(mutex_);
+  mutable std::vector<std::shared_ptr<FlightJournal>> journals_ IPA_GUARDED_BY(mutex_);
 };
 
 /// Record into the calling thread's journal of the global recorder.

@@ -77,10 +77,13 @@ std::vector<SpanRecord> SpanRing::snapshot() const {
 }
 
 std::vector<SpanRecord> SpanRing::snapshot_session(const std::string& session) const {
-  std::vector<SpanRecord> all = snapshot();
+  // Filter under the lock: /status asks for one session's few spans, and
+  // copying the whole ring's strings first held kTrace for every span.
+  LockGuard lock(mutex_);
   std::vector<SpanRecord> out;
-  for (auto& span : all) {
-    if (span.session == session) out.push_back(std::move(span));
+  for (std::size_t i = 0; i < ring_.size(); ++i) {
+    const SpanRecord& span = ring_[(next_ + i) % ring_.size()];
+    if (span.session == session) out.push_back(span);
   }
   return out;
 }

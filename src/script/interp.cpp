@@ -8,12 +8,12 @@
 namespace ipa::script {
 namespace {
 
-/// Internal control-flow signals (never escape the module).
-struct ReturnSignal {
-  Value value;
-};
-struct BreakSignal {};
-struct ContinueSignal {};
+/// How a statement completed. Anything but kNormal unwinds the enclosing
+/// blocks until a loop (kBreak, kContinue) or a function call (kReturn)
+/// consumes it; the parser rejects the statements that would escape those.
+enum class Flow { kNormal, kReturn, kBreak, kContinue };
+
+/// Runtime errors (rare) unwind to the load()/call() boundary.
 struct ScriptError {
   Status status;
 };
@@ -54,6 +54,7 @@ struct Interp::Impl {
   Scope globals;  // outermost scope
   std::vector<std::string> print_output;
   std::uint64_t steps = 0;
+  Value return_value;  // set by `return`, taken by the invoke it completes
 
   void tick(int line) {
     if (++steps > options.max_steps_per_call) {
@@ -245,16 +246,12 @@ struct Interp::Impl {
         local.declare(fn->params[i], std::move(args[i]));
       }
       ++call_depth;
-      // RAII depth guard: exec_block may throw Return/Break/ScriptError.
+      // RAII depth guard: exec_block may throw ScriptError.
       struct DepthGuard {
         int& depth;
         ~DepthGuard() { --depth; }
       } guard{call_depth};
-      try {
-        exec_block(fn->body, local);
-      } catch (ReturnSignal& signal) {
-        return std::move(signal.value);
-      }
+      if (exec_block(fn->body, local) == Flow::kReturn) return std::move(return_value);
       return Value::nil();
     }
     fail(StatusCode::kInvalidArgument,
@@ -263,19 +260,23 @@ struct Interp::Impl {
 
   // --- statement execution ---------------------------------------------------
 
-  void exec_block(const std::vector<StmtPtr>& body, Scope& scope) {
-    for (const StmtPtr& stmt : body) exec(*stmt, scope);
+  Flow exec_block(const std::vector<StmtPtr>& body, Scope& scope) {
+    for (const StmtPtr& stmt : body) {
+      const Flow flow = exec(*stmt, scope);
+      if (flow != Flow::kNormal) return flow;
+    }
+    return Flow::kNormal;
   }
 
-  void exec(const Stmt& stmt, Scope& scope) {
+  Flow exec(const Stmt& stmt, Scope& scope) {
     tick(stmt.line);
     switch (stmt.kind) {
       case Stmt::Kind::kExpr:
         eval(*stmt.expr, scope);
-        return;
+        return Flow::kNormal;
       case Stmt::Kind::kLet:
         scope.declare(stmt.name, eval(*stmt.expr, scope));
-        return;
+        return Flow::kNormal;
       case Stmt::Kind::kAssign: {
         Value value = eval(*stmt.expr, scope);
         Value* slot = nullptr;
@@ -309,62 +310,53 @@ struct Interp::Impl {
           *slot = Value(stmt.op == "+=" ? slot->number() + value.number()
                                         : slot->number() - value.number());
         }
-        return;
+        return Flow::kNormal;
       }
       case Stmt::Kind::kIf: {
         if (eval(*stmt.cond, scope).truthy()) {
           Scope inner(&scope);
-          exec_block(stmt.body, inner);
-        } else if (!stmt.else_body.empty()) {
-          Scope inner(&scope);
-          exec_block(stmt.else_body, inner);
+          return exec_block(stmt.body, inner);
         }
-        return;
+        if (!stmt.else_body.empty()) {
+          Scope inner(&scope);
+          return exec_block(stmt.else_body, inner);
+        }
+        return Flow::kNormal;
       }
       case Stmt::Kind::kWhile: {
         while (eval(*stmt.cond, scope).truthy()) {
           Scope inner(&scope);
-          try {
-            exec_block(stmt.body, inner);
-          } catch (BreakSignal&) {
-            break;
-          } catch (ContinueSignal&) {
-            continue;
-          }
+          const Flow flow = exec_block(stmt.body, inner);
+          if (flow == Flow::kBreak) break;
+          if (flow == Flow::kReturn) return flow;
         }
-        return;
+        return Flow::kNormal;
       }
       case Stmt::Kind::kFor: {
         Scope header(&scope);
         if (stmt.init) exec(*stmt.init, header);
         while (stmt.cond == nullptr || eval(*stmt.cond, header).truthy()) {
           Scope inner(&header);
-          try {
-            exec_block(stmt.body, inner);
-          } catch (BreakSignal&) {
-            break;
-          } catch (ContinueSignal&) {
-            // fall through to the step
-          }
-          if (stmt.step) exec(*stmt.step, header);
+          const Flow flow = exec_block(stmt.body, inner);
+          if (flow == Flow::kBreak) break;
+          if (flow == Flow::kReturn) return flow;
+          if (stmt.step) exec(*stmt.step, header);  // kContinue still runs the step
         }
-        return;
+        return Flow::kNormal;
       }
-      case Stmt::Kind::kReturn: {
-        ReturnSignal signal;
-        if (stmt.expr) signal.value = eval(*stmt.expr, scope);
-        throw signal;
-      }
+      case Stmt::Kind::kReturn:
+        return_value = stmt.expr ? eval(*stmt.expr, scope) : Value::nil();
+        return Flow::kReturn;
       case Stmt::Kind::kBreak:
-        throw BreakSignal{};
+        return Flow::kBreak;
       case Stmt::Kind::kContinue:
-        throw ContinueSignal{};
+        return Flow::kContinue;
       case Stmt::Kind::kBlock: {
         Scope inner(&scope);
-        exec_block(stmt.body, inner);
-        return;
+        return exec_block(stmt.body, inner);
       }
     }
+    fail(StatusCode::kInternal, "unhandled statement kind", stmt.line);
   }
 };
 
@@ -393,12 +385,6 @@ Status Interp::load(std::string_view source) {
     impl_->exec_block(impl_->program.top_level, impl_->globals);
   } catch (ScriptError& error) {
     return error.status;
-  } catch (ReturnSignal&) {
-    return invalid_argument("script: 'return' outside a function");
-  } catch (BreakSignal&) {
-    return invalid_argument("script: 'break' outside a loop");
-  } catch (ContinueSignal&) {
-    return invalid_argument("script: 'continue' outside a loop");
   }
   return Status::ok();
 }
@@ -424,12 +410,6 @@ Result<Value> Interp::call(std::string_view name, std::vector<Value> args) {
     return impl_->invoke(Value(it->second), args, it->second->line);
   } catch (ScriptError& error) {
     return error.status;
-  } catch (ReturnSignal& signal) {
-    return std::move(signal.value);
-  } catch (BreakSignal&) {
-    return invalid_argument("script: 'break' outside a loop");
-  } catch (ContinueSignal&) {
-    return invalid_argument("script: 'continue' outside a loop");
   }
 }
 

@@ -1,9 +1,13 @@
 // PawScript tree-walking interpreter.
 //
 // Design notes:
-//  - No exceptions escape: the public API returns Status/Result. Internally
-//    control flow (return/break/continue) and errors use exceptions, caught
-//    at the call boundary.
+//  - No exceptions escape: the public API returns Status/Result.
+//  - Control flow takes no exceptions: each statement returns a completion
+//    value (normal, return, break, continue) that loops and calls consume,
+//    so a `return` costs no more than an assignment. The parser rejects a
+//    `break`/`continue` outside a loop and a `return` outside a function,
+//    so no completion can leak past the construct that owns it. Runtime
+//    errors are rare and still throw, caught at the load()/call() boundary.
 //  - A step budget bounds runaway scripts: the engine is interactive and a
 //    user's accidental `while(true)` must not wedge a worker node.
 //  - print() output is captured and retrievable, so engine logs can relay

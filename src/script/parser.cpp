@@ -48,6 +48,21 @@ class Parser {
     return error("expected " + std::string(token_name(kind)) + " " + context);
   }
 
+  /// A statement that would leave the construct that owns it: the
+  /// interpreter's completion values stop at the nearest loop or call.
+  static Status misplaced(const char* what, int line) {
+    return invalid_argument("script: " + std::string(what) + " (line " + std::to_string(line) +
+                            ")");
+  }
+
+  /// A loop body; `break` and `continue` are legal only inside one.
+  Status parse_loop_body(Stmt& stmt) {
+    ++loop_depth_;
+    IPA_RETURN_IF_ERROR(parse_block_into(stmt, stmt.body).status());
+    --loop_depth_;
+    return Status::ok();
+  }
+
   Result<FunctionDecl> parse_function() {
     FunctionDecl fn;
     fn.line = peek().line;
@@ -64,11 +79,13 @@ class Parser {
     }
     IPA_RETURN_IF_ERROR(expect(Tok::kRParen, "after parameters"));
     IPA_RETURN_IF_ERROR(expect(Tok::kLBrace, "to open function body"));
+    in_function_ = true;  // a failed parse is abandoned, so no reset on error
     while (!check(Tok::kRBrace) && !check(Tok::kEnd)) {
       auto stmt = parse_statement();
       IPA_RETURN_IF_ERROR(stmt.status());
       fn.body.push_back(std::move(*stmt));
     }
+    in_function_ = false;
     IPA_RETURN_IF_ERROR(expect(Tok::kRBrace, "to close function body"));
     return fn;
   }
@@ -109,7 +126,7 @@ class Parser {
       IPA_RETURN_IF_ERROR(expect(Tok::kLParen, "after 'while'"));
       IPA_ASSIGN_OR_RETURN(stmt->cond, parse_expr());
       IPA_RETURN_IF_ERROR(expect(Tok::kRParen, "after condition"));
-      IPA_RETURN_IF_ERROR(parse_block_into(*stmt, stmt->body).status());
+      IPA_RETURN_IF_ERROR(parse_loop_body(*stmt));
       return StmtPtr(std::move(stmt));
     }
     if (match(Tok::kFor)) {
@@ -127,10 +144,11 @@ class Parser {
         IPA_ASSIGN_OR_RETURN(stmt->step, parse_simple_statement());
       }
       IPA_RETURN_IF_ERROR(expect(Tok::kRParen, "after for-step"));
-      IPA_RETURN_IF_ERROR(parse_block_into(*stmt, stmt->body).status());
+      IPA_RETURN_IF_ERROR(parse_loop_body(*stmt));
       return StmtPtr(std::move(stmt));
     }
     if (match(Tok::kReturn)) {
+      if (!in_function_) return misplaced("'return' outside a function", line);
       auto stmt = make(Stmt::Kind::kReturn);
       if (!check(Tok::kSemicolon)) {
         IPA_ASSIGN_OR_RETURN(stmt->expr, parse_expr());
@@ -139,11 +157,13 @@ class Parser {
       return StmtPtr(std::move(stmt));
     }
     if (match(Tok::kBreak)) {
+      if (loop_depth_ == 0) return misplaced("'break' outside a loop", line);
       auto stmt = make(Stmt::Kind::kBreak);
       IPA_RETURN_IF_ERROR(expect(Tok::kSemicolon, "after 'break'"));
       return StmtPtr(std::move(stmt));
     }
     if (match(Tok::kContinue)) {
+      if (loop_depth_ == 0) return misplaced("'continue' outside a loop", line);
       auto stmt = make(Stmt::Kind::kContinue);
       IPA_RETURN_IF_ERROR(expect(Tok::kSemicolon, "after 'continue'"));
       return StmtPtr(std::move(stmt));
@@ -397,6 +417,8 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  bool in_function_ = false;  // parsing a function body
+  int loop_depth_ = 0;        // enclosing loop bodies within it
 };
 
 }  // namespace

@@ -219,6 +219,15 @@ class Reader {
     return Status::ok();
   }
 
+  /// A count-prefixed run of doubles (Writer::vector of f64) read straight
+  /// into `out`, whose size the caller already knows; any other count is
+  /// kDataLoss with `mismatch` as the message.
+  Status f64_vector_into(std::vector<double>& out, std::string_view mismatch) {
+    IPA_ASSIGN_OR_RETURN(const std::uint64_t count, varint());
+    if (count != out.size()) return data_loss(std::string(mismatch));
+    return f64_array(out.data(), out.size());
+  }
+
   Result<Bytes> bytes() {
     IPA_ASSIGN_OR_RETURN(const std::uint64_t len, varint());
     if (len > kMaxFieldLen) return data_loss("bytes length too large");

@@ -28,14 +28,15 @@ Status AidaManager::close_session(const std::string& session_id) {
 }
 
 Status AidaManager::push(const PushRequest& request) {
+  // Validate the snapshot before accepting it. It touches no session state,
+  // so the decode runs outside the lock that pollers and merges wait on.
+  auto tree = aida::Tree::deserialize(request.snapshot);
+  IPA_RETURN_IF_ERROR(tree.status().with_prefix("aida manager: bad snapshot"));
   LockGuard lock(mutex_);
   const auto it = sessions_.find(request.session_id);
   if (it == sessions_.end()) {
     return not_found("aida manager: no session '" + request.session_id + "'");
   }
-  // Validate the snapshot before accepting it.
-  auto tree = aida::Tree::deserialize(request.snapshot);
-  IPA_RETURN_IF_ERROR(tree.status().with_prefix("aida manager: bad snapshot"));
   it->second.engine_snapshots[request.report.engine_id] = request.snapshot;
   it->second.reports[request.report.engine_id] = request.report;
   auto& health = it->second.health[request.report.engine_id];

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <set>
 #include <thread>
 
 #include "client/grid_client.hpp"
@@ -98,21 +99,27 @@ class FailureTest : public ::testing::Test {
     return last;
   }
 
-  /// Poll until `engines` engine reports exist and every one is actively
-  /// running — the point where a kill or close lands mid-run, not before
-  /// the run verb has even reached the engines.
+  /// Poll until each of `engines` engines has been seen running (or done
+  /// with its part) — the point where a kill or close lands mid-run, not
+  /// before the run verb has even reached the engines.
   void wait_until_running(client::GridSession& session, std::size_t engines,
                           double timeout_s = 10.0) {
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::duration<double>(timeout_s);
+    // An engine qualifies once a poll shows it running, or already finished
+    // with its part (it never reports kRunning again). Every poll here comes
+    // after run() returned, so a finished engine finished this run.
+    std::set<std::string> started;
     while (std::chrono::steady_clock::now() < deadline) {
       auto update = session.poll();
-      if (update.is_ok() && update->engines.size() >= engines) {
-        bool all_running = true;
+      if (update.is_ok()) {
         for (const auto& report : update->engines) {
-          all_running = all_running && report.state == engine::EngineState::kRunning;
+          if (report.state == engine::EngineState::kRunning ||
+              report.state == engine::EngineState::kFinished) {
+            started.insert(report.engine_id);
+          }
         }
-        if (all_running) return;
+        if (started.size() >= engines) return;
       }
       // ipa-lint: allow(sleep-sync) -- paces a deadline-bounded poll; the
       // engine-state predicate, not the sleep, decides.

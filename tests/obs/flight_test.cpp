@@ -138,9 +138,14 @@ TEST(FlightRecorder, DumpWritesPlainTextToFd) {
 }
 
 TEST(FlightGlobal, FreeFunctionRecordsToGlobalRecorder) {
-  const std::size_t before = FlightRecorder::global().journal_count();
   flight(FlightKind::kMark, "global-probe", "hello", 1, 2);
-  EXPECT_GE(FlightRecorder::global().journal_count(), std::max<std::size_t>(before, 1));
+  // Other tests' exited threads may have been pruned meanwhile, so the
+  // journal count is not monotonic; the calling thread's journal is live.
+  const auto events = FlightRecorder::global().local().snapshot();
+  ASSERT_FALSE(events.empty());
+  EXPECT_STREQ(events.front().what, "global-probe");
+  EXPECT_EQ(events.front().a, 1u);
+  EXPECT_EQ(events.front().b, 2u);
   bool found = false;
   for (const ThreadFlight& t : FlightRecorder::global().snapshot()) {
     for (const FlightEvent& e : t.events) {
@@ -148,6 +153,39 @@ TEST(FlightGlobal, FreeFunctionRecordsToGlobalRecorder) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+// Every engine thread of every session registers a journal; once its thread
+// exits the journal is retired, and only the newest kRetainedJournals of
+// those are kept, so a long-running site's recorder does not grow.
+TEST(FlightRecorder, ExitedThreadsJournalsAreBounded) {
+  constexpr int kThreads = 3 * static_cast<int>(FlightRecorder::kRetainedJournals);
+  FlightRecorder recorder(16);
+  recorder.local().record(FlightKind::kMark, "main");  // one live journal
+  for (int i = 0; i < kThreads; ++i) {
+    std::thread([&recorder, i] {
+      recorder.local().record(FlightKind::kMark, "short-lived", {},
+                              static_cast<std::uint64_t>(i));
+    }).join();
+    EXPECT_LE(recorder.journal_count(), 1 + FlightRecorder::kRetainedJournals);
+  }
+  EXPECT_EQ(recorder.journal_count(), 1 + FlightRecorder::kRetainedJournals);
+
+  // The retained tails are the threads that exited last, and the live
+  // thread's journal survives every prune.
+  std::vector<std::uint64_t> kept;
+  bool main_kept = false;
+  for (const ThreadFlight& t : recorder.snapshot()) {
+    for (const FlightEvent& e : t.events) {
+      if (std::strcmp(e.what, "short-lived") == 0) kept.push_back(e.a);
+      main_kept |= std::strcmp(e.what, "main") == 0;
+    }
+  }
+  EXPECT_TRUE(main_kept);
+  std::sort(kept.begin(), kept.end());
+  ASSERT_EQ(kept.size(), FlightRecorder::kRetainedJournals);
+  EXPECT_EQ(kept.front(), kThreads - FlightRecorder::kRetainedJournals);
+  EXPECT_EQ(kept.back(), static_cast<std::uint64_t>(kThreads - 1));
 }
 
 // The concurrency contract: writers never block, and a reader snapshotting

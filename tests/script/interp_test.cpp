@@ -322,3 +322,134 @@ func down(n) {
 
 }  // namespace
 }  // namespace ipa::script
+// Control flow is carried by completion values, not exceptions: each
+// statement that leaves a construct is checked at load, and the step
+// budget charges exactly what the exception-based interpreter charged.
+namespace ipa::script {
+namespace {
+
+TEST(Parser, RejectsMisplacedControlFlow) {
+  const auto expect_rejected = [](const std::string& source, const std::string& message) {
+    Interp interp;
+    const Status status = interp.load(source);
+    ASSERT_FALSE(status.is_ok()) << source;
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find(message), std::string::npos) << status.message();
+  };
+  expect_rejected("break;", "script: 'break' outside a loop (line 1)");
+  expect_rejected("continue;", "script: 'continue' outside a loop (line 1)");
+  expect_rejected("return 1;", "script: 'return' outside a function (line 1)");
+  expect_rejected("if (true) { return; }", "'return' outside a function");
+  expect_rejected("while (true) { return; }", "'return' outside a function");
+  expect_rejected("func f() {\n  break;\n}", "script: 'break' outside a loop (line 2)");
+  expect_rejected("func f() { if (true) { continue; } }", "'continue' outside a loop");
+  expect_rejected("func f() { { break; } }", "'break' outside a loop");
+  // A function called from a loop is not inside that loop.
+  expect_rejected("func stop() { break; }\nfunc main() { while (true) { stop(); } }",
+                  "'break' outside a loop");
+  // Loops end their scope for break/continue; function bodies for return.
+  expect_rejected("func f() { while (false) { } break; }", "'break' outside a loop");
+  expect_rejected("func f() { } return;", "'return' outside a function");
+
+  Interp interp;
+  EXPECT_TRUE(interp.load("for (let i = 0; i < 3; i += 1) { if (i == 1) { break; } }").is_ok());
+  EXPECT_TRUE(interp.load("while (true) { { if (true) { break; } } }").is_ok());
+}
+
+TEST(Interp, ReturnFromInsideNestedLoops) {
+  const char* source = R"(
+func find(limit) {
+  let i = 0;
+  while (true) {
+    for (let j = 0; j < 10; j += 1) {
+      if (i * 10 + j >= limit) { return [i, j]; }
+    }
+    i += 1;
+  }
+  return nil;
+}
+func main() {
+  let at = find(37);
+  let sum = 0;
+  for (let k = 0; k < 3; k += 1) { sum += find(k * 10 + 5)[1]; }
+  return at[0] * 100 + at[1] + sum * 1000;
+})";
+  // find(37) = [3, 7]; find(5), find(15), find(25) all stop at j = 5.
+  EXPECT_DOUBLE_EQ(run_num(source), 15307.0);
+}
+
+TEST(Interp, ContinueInForRunsTheStep) {
+  // Were the step skipped, `continue` would spin on i = 0 until the budget.
+  Interp interp(InterpOptions{.max_steps_per_call = 100000});
+  ASSERT_TRUE(interp.load(R"(
+func main() {
+  let steps = 0;
+  let kept = 0;
+  for (let i = 0; i < 10; i += 1) {
+    steps += 1;
+    if (i % 3 != 0) { continue; }
+    kept += 1;
+  }
+  return steps * 100 + kept;
+})").is_ok());
+  const auto result = interp.call("main", {});
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  EXPECT_DOUBLE_EQ(result->number(), 1004.0);  // 10 iterations; i = 0, 3, 6, 9 kept
+}
+
+TEST(Interp, RecursionAtTheDepthLimit) {
+  Interp interp;
+  ASSERT_TRUE(interp.load(R"(
+func down(n) {
+  if (n <= 1) { return 1; }
+  return 1 + down(n - 1);
+})").is_ok());
+  // The outer call() is depth 1, so 256 nested calls are the most allowed.
+  auto deepest = interp.call("down", {Value(256.0)});
+  ASSERT_TRUE(deepest.is_ok()) << deepest.status().to_string();
+  EXPECT_DOUBLE_EQ(deepest->number(), 256.0);
+  auto too_deep = interp.call("down", {Value(257.0)});
+  ASSERT_FALSE(too_deep.is_ok());
+  EXPECT_EQ(too_deep.status().code(), StatusCode::kResourceExhausted);
+  // Returning through every frame unwound the depth counter.
+  auto again = interp.call("down", {Value(256.0)});
+  ASSERT_TRUE(again.is_ok()) << again.status().to_string();
+}
+
+TEST(Interp, StepBudgetTripsAtTheSameStep) {
+  // Returns, breaks and continues each cost their statement's one step, as
+  // they did when they were thrown: this script needs exactly 177 steps.
+  const char* source = R"(
+func weight(x) {
+  if (x > 1) { return 2; }
+  return 1;
+}
+func main() {
+  let total = 0;
+  for (let i = 0; i < 6; i += 1) {
+    if (i == 1) { continue; }
+    let j = 0;
+    while (true) {
+      j += 1;
+      if (j >= 2) { break; }
+    }
+    if (i == 4) { return total + 100; }
+    total += weight(i) * j;
+  }
+  return total;
+})";
+  Interp enough(InterpOptions{.max_steps_per_call = 177});
+  ASSERT_TRUE(enough.load(source).is_ok());
+  auto result = enough.call("main", {});
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  EXPECT_DOUBLE_EQ(result->number(), 110.0);
+
+  Interp short_by_one(InterpOptions{.max_steps_per_call = 176});
+  ASSERT_TRUE(short_by_one.load(source).is_ok());
+  result = short_by_one.call("main", {});
+  ASSERT_FALSE(result.is_ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+}
+
+}  // namespace
+}  // namespace ipa::script
